@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
           std::atomic<int64_t> cancel_ns{0};
           // Vary the cancellation point across victims: the q-th victim
           // lets a few pass tasks run before firing.
-          const int fire_at = (q / cancel_every) % 5;
+          const int fire_at = cancel ? (q / cancel_every) % 5 : 0;
 
           Timer latency;
           QuerySession::Admission grant;

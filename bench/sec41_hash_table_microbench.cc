@@ -3,11 +3,8 @@
 // an L1 access and an order of magnitude cheaper than an out-of-cache
 // insertion, which is what makes the external-memory analysis meaningful.
 //
-// The in-cache sweep runs once per SIMD tier the host supports (or once,
-// with --simd_tier=NAME), so the tiers' insertion costs sit side by side.
-//
 // Usage: sec41_hash_table_microbench [--log_n=23] [--reps=3]
-//        [--simd_tier=scalar|avx2|avx512] [--json[=PATH]]
+//        [--json[=PATH]]
 
 #include <cstdio>
 #include <vector>
@@ -17,7 +14,6 @@
 #include "cea/common/machine.h"
 #include "cea/common/random.h"
 #include "cea/hash/murmur.h"
-#include "cea/simd/dispatch.h"
 #include "cea/table/blocked_hash_table.h"
 #include "cea/table/growable_hash_table.h"
 
@@ -29,44 +25,23 @@ int main(int argc, char** argv) {
   const size_t table_bytes =
       flags.GetUint("table_bytes", machine.l3_bytes_per_thread);
 
-  std::vector<cea::simd::DispatchTier> tiers;
-  if (flags.Has("simd_tier")) {
-    std::string name = flags.GetString("simd_tier", "");
-    cea::simd::DispatchTier forced;
-    if (!cea::simd::ParseTier(name, &forced) ||
-        !cea::simd::TierSupported(forced)) {
-      std::fprintf(stderr,
-                   "usage error: --simd_tier=%s (must be a tier supported "
-                   "on this CPU/build)\n",
-                   name.c_str());
-      return 2;
-    }
-    tiers.push_back(forced);
-  } else {
-    for (cea::simd::DispatchTier t : {cea::simd::DispatchTier::kScalar,
-                                      cea::simd::DispatchTier::kAVX2,
-                                      cea::simd::DispatchTier::kAVX512}) {
-      if (cea::simd::TierSupported(t)) tiers.push_back(t);
-    }
-  }
-
   cea::StateLayout layout(std::vector<cea::AggregateSpec>{});
+  cea::BlockedOpenHashTable table(table_bytes, layout);
   cea::bench::BenchReporter reporter("sec41_hash_table_microbench", flags);
 
   if (!reporter.enabled()) {
     std::printf("# Section 4.1: hash table insertion cost "
-                "(table %.1f MiB)\n",
-                table_bytes / 1048576.0);
-    std::printf("%-28s %-8s %12s\n", "scenario", "tier", "ns/insert");
+                "(table %.1f MiB, %u slots, fill cap %u)\n",
+                table_bytes / 1048576.0, table.capacity(),
+                table.max_fill_slots());
+    std::printf("%-28s %12s\n", "scenario", "ns/insert");
   }
 
-  auto emit = [&](const char* scenario, const char* tier_name,
-                  uint64_t k_groups, size_t inserts,
+  auto emit = [&](const char* scenario, uint64_t k_groups, size_t inserts,
                   const cea::bench::TimingStats& timing) {
     if (reporter.enabled()) {
       cea::bench::BenchRecord r;
       r.Param("scenario", scenario)
-          .Param("simd_tier", tier_name)
           .Param("k_groups", k_groups)
           .Param("log_n", flags.GetUint("log_n", 23))
           .Param("table_bytes", uint64_t{table_bytes});
@@ -77,43 +52,30 @@ int main(int argc, char** argv) {
       char label[64];
       std::snprintf(label, sizeof(label), "%s, K=%llu", scenario,
                     (unsigned long long)k_groups);
-      std::printf("%-28s %-8s %12.2f\n", label, tier_name,
-                  timing.median_s / inserts * 1e9);
+      std::printf("%-28s %12.2f\n", label, timing.median_s / inserts * 1e9);
     }
   };
 
   cea::Rng rng(1);
   std::vector<uint64_t> keys(n);
 
-  // In-cache: few groups, hot table — the HASHING fast path, once per
-  // tier. The table is constructed under the forced tier (it captures the
-  // kernel table at construction); the same key sequence is replayed for
-  // every tier so the numbers are directly comparable.
-  for (cea::simd::DispatchTier tier : tiers) {
-    cea::simd::ScopedTier scoped(tier);
-    cea::BlockedOpenHashTable table(table_bytes, layout);
-    cea::Rng tier_rng(1);
-    for (uint64_t k_groups : {uint64_t{64}, uint64_t{1} << 10,
-                              uint64_t{table.max_fill_slots() / 4}}) {
-      for (auto& k : keys) k = tier_rng.NextBounded(k_groups);
-      cea::bench::TimingStats t = cea::bench::MeasureSeconds(reps, [&] {
-        table.Clear();
-        for (size_t i = 0; i < n; ++i) {
-          uint32_t s =
-              table.FindOrInsert(keys[i], cea::MurmurHash64(keys[i]), 0);
-          cea::bench::DoNotOptimize(s);
-        }
-      });
-      emit("in-cache", cea::simd::TierName(tier), k_groups, n, t);
-    }
+  // In-cache: few groups, hot table — the HASHING fast path.
+  for (uint64_t k_groups : {uint64_t{64}, uint64_t{1} << 10,
+                            uint64_t{table.max_fill_slots() / 4}}) {
+    for (auto& k : keys) k = rng.NextBounded(k_groups);
+    cea::bench::TimingStats t = cea::bench::MeasureSeconds(reps, [&] {
+      table.Clear();
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t s = table.FindOrInsert(keys[i], cea::MurmurHash64(keys[i]), 0);
+        cea::bench::DoNotOptimize(s);
+      }
+    });
+    emit("in-cache", k_groups, n, t);
   }
 
   // Out-of-cache: a growable exact table much larger than L3 — every
   // insert misses. This is what recursive partitioning avoids.
   {
-    // Run under the last swept tier so a forced --simd_tier also governs
-    // (and labels) this scenario; unforced, this is the autodetected tier.
-    cea::simd::ScopedTier scoped(tiers.back());
     const size_t big_n = n / 2;
     for (size_t i = 0; i < big_n; ++i) keys[i] = rng.Next();
     cea::bench::TimingStats t = cea::bench::MeasureSeconds(reps, [&] {
@@ -122,10 +84,7 @@ int main(int argc, char** argv) {
         cea::bench::DoNotOptimize(big.FindOrInsert(keys[i]));
       }
     });
-    // The growable table has no vectorized probe; label the record with
-    // the active tier for stream consistency.
-    emit("out-of-cache", cea::simd::TierName(cea::simd::ActiveTier()), big_n,
-         big_n, t);
+    emit("out-of-cache", big_n, big_n, t);
   }
   return 0;
 }

@@ -48,7 +48,9 @@ class Flags {
         return true;
       }
       if (a == "--" + name) {
-        *value = "1";
+        // Built rather than assigned from a literal: GCC 12 reports a
+        // false -Wrestrict overlap on `*value = "1"` once this inlines.
+        *value = std::string(1, '1');
         return true;
       }
     }

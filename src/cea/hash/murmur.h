@@ -3,8 +3,9 @@
 // The paper (Section 4.1) selects MurmurHash2 (the 64-bit "64A" variant) as
 // the fastest adequate hash for small keys, and Section 6.4 notes that
 // replacing the competitors' multiplicative hashing by MurmurHash2 makes
-// their performance more predictable. We provide both, plus the Murmur3
-// finalizer as a cheap high-quality mixer for fixed 8-byte keys.
+// their performance more predictable, so every implementation here uses
+// it. The Murmur3 finalizer is a cheap high-quality mixer for fixed 8-byte
+// keys.
 
 #ifndef CEA_HASH_MURMUR_H_
 #define CEA_HASH_MURMUR_H_
@@ -76,12 +77,6 @@ inline uint64_t MurmurHash64Inverse(uint64_t h, uint64_t seed = 0) {
   h ^= h >> r;
   h *= m_inv;
   return h;
-}
-
-// Fibonacci/multiplicative hashing: the cheap hash the competitor
-// implementations originally used (Section 6.4).
-inline uint64_t MultiplicativeHash(uint64_t key) {
-  return key * 0x9e3779b97f4a7c15ULL;
 }
 
 }  // namespace cea

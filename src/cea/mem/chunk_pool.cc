@@ -105,7 +105,7 @@ void ChunkPool::RefillFromShard(int k, size_t want,
 uint64_t* ChunkPool::CarveFresh(size_t bytes) {
   // Every carve is rounded up to a whole number of cache lines so the bump
   // pointer never leaves 64-byte alignment — the NT-store flush path
-  // (simd stream_lines via ChunkedArray::AppendLine) requires it.
+  // (StreamStoreLine via ChunkedArray::AppendLine) requires it.
   bytes = (bytes + kCacheLineBytes - 1) & ~(kCacheLineBytes - 1);
   std::lock_guard<std::mutex> lock(slab_mutex_);
   if (static_cast<size_t>(bump_end_ - bump_next_) < bytes) {

@@ -30,7 +30,6 @@
 #include "cea/common/check.h"
 #include "cea/common/machine.h"
 #include "cea/mem/stream_store.h"
-#include "cea/simd/dispatch.h"
 
 namespace cea {
 
@@ -69,7 +68,7 @@ class ChunkedArray {
       return;
     }
     if ((reinterpret_cast<uintptr_t>(tail_) & (kCacheLineBytes - 1)) == 0) {
-      simd::ActiveOps().stream_lines(tail_, line, 1);
+      StreamStoreLine(tail_, line);
     } else {
       std::memcpy(tail_, line, kCacheLineBytes);
     }

@@ -79,9 +79,9 @@ class SwcWriter {
   }
 
  private:
-  // Line flushes go through the dispatched stream_lines kernel, which
-  // moves exactly one cache line per call; the buffer line must be that
-  // line, no more and no less.
+  // Line flushes go through StreamStoreLine, which moves exactly one
+  // cache line per call; the buffer line must be that line, no more and
+  // no less.
   struct alignas(kCacheLineBytes) Line {
     uint64_t v[ChunkedArray::kLineElems];
   };

@@ -4,9 +4,9 @@
 // counters (atomic int64 with a unit and a merge rule), info strings
 // (policy names, decision inputs) and child nodes (one per pass level,
 // per subsystem, per worker). The operator builds one per execution;
-// QuerySession, TaskScheduler, ChunkPool/MemoryBudget and the SIMD
-// dispatch layer each contribute a node, so a single dump answers
-// "where did this query's time, rows and bytes go".
+// QuerySession, TaskScheduler and ChunkPool/MemoryBudget each contribute
+// a node, so a single dump answers "where did this query's time, rows
+// and bytes go".
 //
 //   RuntimeProfile root("query");
 //   RuntimeProfile* mem = root.GetOrCreateChild("memory");

@@ -27,7 +27,7 @@ uint64_t IdentityForWord(AggFn fn, int word) {
 BlockedOpenHashTable::BlockedOpenHashTable(size_t budget_bytes, int key_words,
                                            const StateLayout& layout,
                                            double max_fill)
-    : ops_(&simd::ActiveOps()), key_words_(key_words) {
+    : key_words_(key_words) {
   CEA_CHECK_MSG(key_words >= 1 && key_words <= kMaxKeyWords,
                 "unsupported key width");
   layout_words_ = layout.total_words;

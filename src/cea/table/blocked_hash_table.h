@@ -28,7 +28,6 @@
 #include "cea/common/check.h"
 #include "cea/hash/key_hash.h"
 #include "cea/hash/radix.h"
-#include "cea/simd/dispatch.h"
 
 namespace cea {
 
@@ -80,27 +79,29 @@ class BlockedOpenHashTable {
     return kFull;  // block overflow (only with extreme fill or tiny blocks)
   }
 
-  // Single-word-key fast path: the block probe runs through the SIMD tier
-  // captured at construction (gather/compare over up to 8 slots per step);
-  // the mutation on a claimed slot stays scalar, so every tier claims
-  // exactly the slots the scalar reference would.
+  // Single-word-key fast path: a dedicated probe loop without the
+  // multi-word compare/copy helpers.
   uint32_t FindOrInsert(uint64_t key, uint64_t hash, int level) {
     CEA_DCHECK(key_words_ == 1);
     uint32_t block = RadixDigit(hash, level);
     uint32_t base = block << block_bits_;
     uint32_t mask = (1u << block_bits_) - 1;
-    uint32_t start = static_cast<uint32_t>(hash) & mask;
-    simd::ProbeResult r = ops_->probe_block(keys_.data(), occupied_.data(),
-                                            base, mask, start, key);
-    if (r.kind == simd::ProbeResult::kMatch) return base + r.pos;
-    if (r.kind == simd::ProbeResult::kBlockFull) return kFull;
-    if (fill_ >= max_fill_slots_) return kFull;
-    uint32_t slot = base + r.pos;
-    SetOccupied(slot);
-    keys_[slot] = key;
-    InitSlotState(slot);
-    ++fill_;
-    return slot;
+    uint32_t i = static_cast<uint32_t>(hash) & mask;
+    uint32_t start = i;
+    do {
+      uint32_t slot = base + i;
+      if (!TestOccupied(slot)) {
+        if (fill_ >= max_fill_slots_) return kFull;
+        SetOccupied(slot);
+        keys_[slot] = key;
+        InitSlotState(slot);
+        ++fill_;
+        return slot;
+      }
+      if (keys_[slot] == key) return slot;
+      i = (i + 1) & mask;
+    } while (i != start);
+    return kFull;
   }
 
   // Appends every occupied slot of radix block `b` as one row of
@@ -161,11 +162,6 @@ class BlockedOpenHashTable {
       states_[static_cast<size_t>(w) * capacity_ + slot] = identities_[w];
     }
   }
-
-  // SIMD kernel table captured at construction: a table built under one
-  // tier keeps probing with it even if the process-wide tier changes,
-  // so a probe sequence is never split across tiers mid-table.
-  const simd::SimdOps* ops_ = nullptr;
 
   uint32_t capacity_ = 0;
   int block_bits_ = 0;  // log2(slots per block)

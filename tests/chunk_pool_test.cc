@@ -49,8 +49,8 @@ TEST(ChunkPoolTest, AllocationIsCacheLineAligned) {
 }
 
 TEST(ChunkPoolTest, EveryCarvedBlockStaysCacheLineAligned) {
-  // The NT-store flush path (ChunkedArray::AppendLine via the SIMD
-  // stream_lines kernels) requires 64-byte-aligned chunk bases. Mixed-class
+  // The NT-store flush path (ChunkedArray::AppendLine via
+  // StreamStoreLine) requires 64-byte-aligned chunk bases. Mixed-class
   // allocation sequences advance the slab bump pointer by varying amounts
   // and cross at least one slab boundary here; every block handed out must
   // still be line-aligned.

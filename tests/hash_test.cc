@@ -136,13 +136,5 @@ TEST(Murmur, IsBijectiveForFixedWidthKeys) {
   EXPECT_EQ(hashes.size(), 10000u);
 }
 
-TEST(MultiplicativeHash, SpreadsLowBitsPoorly) {
-  // Documenting why MurmurHash2 replaced it (Section 6.4): sequential keys
-  // keep structure in the low bits of a multiplicative hash's *top* digit
-  // far less than in Murmur. Just verify determinism and non-triviality.
-  EXPECT_NE(MultiplicativeHash(1), MultiplicativeHash(2));
-  EXPECT_EQ(MultiplicativeHash(7), MultiplicativeHash(7));
-}
-
 }  // namespace
 }  // namespace cea

@@ -12,12 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "cea/common/random.h"
 #include "cea/datagen/generators.h"
-#include "cea/simd/dispatch.h"
 #include "test_util.h"
 
 namespace cea {
@@ -124,35 +122,19 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
   return fc;
 }
 
-// The differential suite runs once per SIMD tier (scalar plus each tier
-// the host supports): every random configuration must produce identical
-// results no matter which kernel tier executes the hot loops. Unsupported
-// tiers are skipped, so the test is meaningful on any build machine.
-class OperatorFuzz
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
+class OperatorFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OperatorFuzz, RandomConfigMatchesReference) {
-  const auto tier =
-      static_cast<simd::DispatchTier>(std::get<1>(GetParam()));
-  if (!simd::TierSupported(tier)) {
-    GTEST_SKIP() << "tier " << simd::TierName(tier)
-                 << " not supported on this CPU/build";
-  }
-  simd::ScopedTier scoped(tier);
-  FuzzCase fc = MakeFuzzCase(std::get<0>(GetParam()));
-  SCOPED_TRACE(fc.trace + " tier=" + simd::TierName(tier));
+  FuzzCase fc = MakeFuzzCase(GetParam());
+  SCOPED_TRACE(fc.trace);
   ExpectMatchesReference(fc.specs, fc.input, fc.options);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, OperatorFuzz,
-    ::testing::Combine(::testing::Range<uint64_t>(0, 128),
-                       ::testing::Range(0, simd::kNumTiers)),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, int>>& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
-             simd::TierName(
-                 static_cast<simd::DispatchTier>(std::get<1>(info.param)));
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, OperatorFuzz,
+                         ::testing::Range<uint64_t>(0, 128),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 class StreamingFuzz : public ::testing::TestWithParam<uint64_t> {};
 

@@ -11,7 +11,6 @@
 #include "cea/core/routines.h"
 #include "cea/hash/murmur.h"
 #include "cea/hash/radix.h"
-#include "cea/simd/dispatch.h"
 
 namespace cea {
 
@@ -304,22 +303,11 @@ TEST(InsertKeys, TableFillsAtExactBlockBoundary) {
   EXPECT_EQ(res->table().fill(), 112u);
 }
 
-// Returns the tiers supported on this host, for the per-tier probe tests.
-std::vector<simd::DispatchTier> SupportedTiers() {
-  std::vector<simd::DispatchTier> tiers;
-  for (simd::DispatchTier t :
-       {simd::DispatchTier::kScalar, simd::DispatchTier::kAVX2,
-        simd::DispatchTier::kAVX512}) {
-    if (simd::TierSupported(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
-
-TEST(InsertKeys, ProbeWrapsThroughBlockBoundaryUnderEveryTier) {
+TEST(InsertKeys, ProbeWrapsThroughBlockBoundary) {
   // Keys crafted (via the Murmur inverse) to all start probing at slot 61
-  // of a 64-slot block: the probe sequence runs through the masked-lane
-  // tail 61,62,63 and wraps to 0,1,2. Every tier must claim exactly those
-  // slots in that order.
+  // of a 64-slot block: the probe sequence runs through the block's last
+  // slots 61,62,63 and wraps to 0,1,2, claiming exactly those slots in
+  // that order.
   StateLayout layout({{AggFn::kCount, -1}});
   auto policy = MakeHashingOnlyPolicy();
 
@@ -332,44 +320,40 @@ TEST(InsertKeys, ProbeWrapsThroughBlockBoundaryUnderEveryTier) {
     keys.push_back(key);
   }
 
-  for (simd::DispatchTier tier : SupportedTiers()) {
-    SCOPED_TRACE(simd::TierName(tier));
-    simd::ScopedTier scoped(tier);
-    WorkerResources res(1, layout, size_t{1} << 19, size_t{1} << 12);
-    ASSERT_EQ(res.table().block_capacity(), 64u);
-    ExecStats stats;
-    PassContext ctx(layout, *policy, &res, 0, &stats);
+  WorkerResources res(1, layout, size_t{1} << 19, size_t{1} << 12);
+  ASSERT_EQ(res.table().block_capacity(), 64u);
+  ExecStats stats;
+  PassContext ctx(layout, *policy, &res, 0, &stats);
 
-    Morsel m = RawMorsel(keys, {});
-    size_t consumed = 0;
-    EXPECT_FALSE(
-        PassContextTestPeer::InsertKeys(&ctx, m, 0, keys.size(), &consumed));
-    EXPECT_EQ(consumed, keys.size());
+  Morsel m = RawMorsel(keys, {});
+  size_t consumed = 0;
+  EXPECT_FALSE(
+      PassContextTestPeer::InsertKeys(&ctx, m, 0, keys.size(), &consumed));
+  EXPECT_EQ(consumed, keys.size());
 
-    const uint32_t base = 5u * 64u;
-    const uint32_t expect_offsets[6] = {61, 62, 63, 0, 1, 2};
-    for (size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(res.slots()[i], base + expect_offsets[i]) << "row " << i;
-      ASSERT_TRUE(res.table().TestOccupied(res.slots()[i]));
-      ASSERT_EQ(res.table().key_array()[res.slots()[i]], keys[i]);
-    }
-
-    // Re-inserting the same keys finds (not claims) the same slots.
-    consumed = 0;
-    EXPECT_FALSE(
-        PassContextTestPeer::InsertKeys(&ctx, m, 0, keys.size(), &consumed));
-    EXPECT_EQ(consumed, keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(res.slots()[i], base + expect_offsets[i]) << "row " << i;
-    }
-    EXPECT_EQ(res.table().fill(), keys.size());
+  const uint32_t base = 5u * 64u;
+  const uint32_t expect_offsets[6] = {61, 62, 63, 0, 1, 2};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(res.slots()[i], base + expect_offsets[i]) << "row " << i;
+    ASSERT_TRUE(res.table().TestOccupied(res.slots()[i]));
+    ASSERT_EQ(res.table().key_array()[res.slots()[i]], keys[i]);
   }
+
+  // Re-inserting the same keys finds (not claims) the same slots.
+  consumed = 0;
+  EXPECT_FALSE(
+      PassContextTestPeer::InsertKeys(&ctx, m, 0, keys.size(), &consumed));
+  EXPECT_EQ(consumed, keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(res.slots()[i], base + expect_offsets[i]) << "row " << i;
+  }
+  EXPECT_EQ(res.table().fill(), keys.size());
 }
 
-TEST(InsertKeys, FillCapTripsMidWrapUnderEveryTier) {
+TEST(InsertKeys, FillCapTripsMidWrap) {
   // Same wrap-through-boundary sequence, but the fill cap allows only 4
   // new keys: rows 0..3 claim 61,62,63,0 and row 4 reports the table full
-  // with consumed = 4, identically under every tier.
+  // with consumed = 4.
   StateLayout layout({{AggFn::kCount, -1}});
   auto policy = MakeHashingOnlyPolicy();
 
@@ -378,26 +362,22 @@ TEST(InsertKeys, FillCapTripsMidWrapUnderEveryTier) {
     keys.push_back(MurmurHash64Inverse((uint64_t{5} << 56) | (j << 16) | 61));
   }
 
-  for (simd::DispatchTier tier : SupportedTiers()) {
-    SCOPED_TRACE(simd::TierName(tier));
-    simd::ScopedTier scoped(tier);
-    auto res = ResourcesWithFillCap(layout, 4, size_t{1} << 19);
-    ASSERT_EQ(res->table().block_capacity(), 64u);
-    ExecStats stats;
-    PassContext ctx(layout, *policy, res.get(), 0, &stats);
+  auto res = ResourcesWithFillCap(layout, 4, size_t{1} << 19);
+  ASSERT_EQ(res->table().block_capacity(), 64u);
+  ExecStats stats;
+  PassContext ctx(layout, *policy, res.get(), 0, &stats);
 
-    Morsel m = RawMorsel(keys, {});
-    size_t consumed = 0;
-    EXPECT_TRUE(
-        PassContextTestPeer::InsertKeys(&ctx, m, 0, keys.size(), &consumed));
-    EXPECT_EQ(consumed, 4u);
-    EXPECT_EQ(res->table().fill(), 4u);
+  Morsel m = RawMorsel(keys, {});
+  size_t consumed = 0;
+  EXPECT_TRUE(
+      PassContextTestPeer::InsertKeys(&ctx, m, 0, keys.size(), &consumed));
+  EXPECT_EQ(consumed, 4u);
+  EXPECT_EQ(res->table().fill(), 4u);
 
-    const uint32_t base = 5u * 64u;
-    const uint32_t expect_offsets[4] = {61, 62, 63, 0};
-    for (size_t i = 0; i < 4; ++i) {
-      ASSERT_EQ(res->slots()[i], base + expect_offsets[i]) << "row " << i;
-    }
+  const uint32_t base = 5u * 64u;
+  const uint32_t expect_offsets[4] = {61, 62, 63, 0};
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(res->slots()[i], base + expect_offsets[i]) << "row " << i;
   }
 }
 

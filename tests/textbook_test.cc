@@ -50,12 +50,19 @@ TEST_P(TextbookTest, SortMatchesScalar) {
             expect);
 }
 
+// Names a K-parameterized case "k<K>". Appended rather than written as
+// "k" + std::to_string(K): GCC 12 reports a false -Wrestrict overlap on
+// the one-character-literal concatenation.
+std::string KParamName(const ::testing::TestParamInfo<uint64_t>& info) {
+  std::string name = "k";
+  name += std::to_string(info.param);
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Cardinalities, TextbookTest,
                          ::testing::Values(uint64_t{1}, uint64_t{17},
                                            uint64_t{1000}, uint64_t{30000}),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "k" + std::to_string(info.param);
-                         });
+                         KParamName);
 
 TEST(Textbook, SortAggEmptyInput) {
   GroupCounts out = TextbookSortAggregation(nullptr, 0, 1 << 20);
@@ -87,9 +94,7 @@ TEST_P(MergeSortEaTest, MatchesScalar) {
 INSTANTIATE_TEST_SUITE_P(Cardinalities, MergeSortEaTest,
                          ::testing::Values(uint64_t{1}, uint64_t{13},
                                            uint64_t{997}, uint64_t{30000}),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "k" + std::to_string(info.param);
-                         });
+                         KParamName);
 
 TEST(MergeSortEa, TinyRunsAndEmptyInput) {
   GroupCounts empty = MergeSortEarlyAggregation(nullptr, 0, 64);

@@ -35,10 +35,6 @@
 //   --spill_threshold=F           fraction of the budget at which spilling
 //                                 starts (default 0.8; 0 < F <= 1.0).
 //                                 Requires --spill_dir.
-//   --simd_tier=scalar|avx2|avx512
-//                                 force the SIMD kernel tier (default: best
-//                                 the CPU supports; the CEA_SIMD_TIER env
-//                                 var sets the same default, the flag wins)
 //   --csv [--csv_rows=N]          print result as CSV
 //   --stats                       print execution telemetry (text, stderr)
 //   --stats=json                  print telemetry as one JSON object on
@@ -77,7 +73,6 @@
 #include "cea/obs/json_writer.h"
 #include "cea/obs/metrics.h"
 #include "cea/obs/obs.h"
-#include "cea/simd/dispatch.h"
 
 namespace {
 
@@ -201,27 +196,6 @@ int main(int argc, char** argv) {
     if (::access(spill_dir.c_str(), W_OK | X_OK) != 0) {
       std::fprintf(stderr, "usage error: --spill_dir=%s is not writable: %s\n",
                    spill_dir.c_str(), std::strerror(errno));
-      return 2;
-    }
-  }
-
-  // SIMD tier override. Unlike the CEA_SIMD_TIER env default (which warns
-  // and falls back), an explicit flag that cannot be honored is an error.
-  if (flags.Has("simd_tier")) {
-    std::string tier_name = flags.GetString("simd_tier", "");
-    cea::simd::DispatchTier tier;
-    if (!cea::simd::ParseTier(tier_name, &tier)) {
-      std::fprintf(stderr,
-                   "usage error: --simd_tier=%s (must be scalar, avx2 or "
-                   "avx512)\n",
-                   tier_name.c_str());
-      return 2;
-    }
-    if (!cea::simd::SetTier(tier)) {
-      std::fprintf(stderr,
-                   "usage error: --simd_tier=%s is not supported on this "
-                   "CPU/build\n",
-                   tier_name.c_str());
       return 2;
     }
   }
