@@ -8,6 +8,7 @@
 #include "cea/common/bits.h"
 #include "cea/common/check.h"
 #include "cea/core/spill_manager.h"
+#include "cea/core/stats_io.h"
 
 namespace cea {
 
@@ -234,21 +235,11 @@ Status AggregationOperator::CollectResult(ResultTable* result,
 void AggregationOperator::FillProfile(const ExecStats& merged) {
   using Unit = obs::RuntimeProfile::Unit;
   using MergeOp = obs::RuntimeProfile::MergeOp;
+  // Indexed by AggregationOptions::PolicyKind.
+  static const char* const kPolicyNames[] = {"ADAPTIVE", "HASHING_ONLY",
+                                             "PARTITION_ALWAYS"};
   obs::RuntimeProfile& root = options_.obs->profile();
   root.Clear();  // a reused ObsContext profiles the last execution only
-
-  const char* policy_name = "ADAPTIVE";
-  switch (options_.policy) {
-    case AggregationOptions::PolicyKind::kAdaptive:
-      policy_name = "ADAPTIVE";
-      break;
-    case AggregationOptions::PolicyKind::kHashingOnly:
-      policy_name = "HASHING_ONLY";
-      break;
-    case AggregationOptions::PolicyKind::kPartitionAlways:
-      policy_name = "PARTITION_ALWAYS";
-      break;
-  }
   root.SetInfo("threads", std::to_string(num_threads()));
   root.AddCounter("total_time", Unit::kNanos, MergeOp::kMax)
       ->Set(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -260,43 +251,17 @@ void AggregationOperator::FillProfile(const ExecStats& merged) {
       ->Set(static_cast<int64_t>(merged.rows_hashed_at_level[0] +
                                  merged.rows_partitioned_at_level[0]));
 
+  // The sections in profile order; ExecStatsToProfile adds their ExecStats
+  // counters. spill exists only when spilling is configured, so the
+  // default tree (pinned by check_profile_golden.py) is unchanged.
   obs::RuntimeProfile* strategy = root.GetOrCreateChild("strategy");
-  strategy->SetInfo("policy", policy_name);
+  strategy->SetInfo("policy",
+                    kPolicyNames[static_cast<int>(options_.policy)]);
   strategy->SetInfo("alpha0", std::to_string(options_.alpha0));
   strategy->SetInfo("c", std::to_string(options_.c));
   strategy->AddCounter("mean_alpha", Unit::kDouble, MergeOp::kMax)
       ->SetDouble(merged.mean_alpha());
-  strategy->AddCounter("alpha_samples")->Set(
-      static_cast<int64_t>(merged.num_alpha));
-  strategy->AddCounter("switches_to_partition")
-      ->Set(static_cast<int64_t>(merged.switches_to_partition));
-  strategy->AddCounter("switches_to_hash")
-      ->Set(static_cast<int64_t>(merged.switches_to_hash));
-  strategy->AddCounter("final_hash_passes")
-      ->Set(static_cast<int64_t>(merged.final_hash_passes));
-  strategy->AddCounter("distinct_shortcut_runs")
-      ->Set(static_cast<int64_t>(merged.distinct_shortcut_runs));
-  strategy->AddCounter("fallback_buckets")
-      ->Set(static_cast<int64_t>(merged.fallback_buckets));
-
-  obs::RuntimeProfile* passes = root.GetOrCreateChild("passes");
-  passes->AddCounter("passes")->Set(static_cast<int64_t>(merged.passes));
-  passes->AddCounter("morsels")->Set(static_cast<int64_t>(merged.morsels));
-  passes->AddCounter("tables_flushed")
-      ->Set(static_cast<int64_t>(merged.tables_flushed));
-  for (int l = 0; l <= merged.max_level &&
-                  l < static_cast<int>(merged.rows_hashed_at_level.size());
-       ++l) {
-    obs::RuntimeProfile* level =
-        passes->GetOrCreateChild("level_" + std::to_string(l));
-    level->AddCounter("rows_hashed", Unit::kRows)
-        ->Set(static_cast<int64_t>(merged.rows_hashed_at_level[l]));
-    level->AddCounter("rows_partitioned", Unit::kRows)
-        ->Set(static_cast<int64_t>(merged.rows_partitioned_at_level[l]));
-    level->AddCounter("cpu_time", Unit::kNanos)
-        ->Set(static_cast<int64_t>(merged.seconds_at_level[l] * 1e9));
-  }
-
+  root.GetOrCreateChild("passes");
   obs::RuntimeProfile* sched = root.GetOrCreateChild("scheduler");
   TaskScheduler::Stats ss = scheduler_->GetStats();
   sched->AddCounter("tasks_submitted")
@@ -305,27 +270,15 @@ void AggregationOperator::FillProfile(const ExecStats& merged) {
       ->Set(static_cast<int64_t>(ss.executed - scheduler_stats_base_.executed));
   sched->AddCounter("tasks_helped")
       ->Set(static_cast<int64_t>(ss.helped - scheduler_stats_base_.helped));
-
-  obs::RuntimeProfile* mem = root.GetOrCreateChild("memory");
-  mem->AddCounter("peak_bytes", Unit::kBytes, MergeOp::kMax)
-      ->Set(static_cast<int64_t>(merged.mem_peak_bytes));
-  mem->AddCounter("chunks_fresh")
-      ->Set(static_cast<int64_t>(merged.chunks_allocated));
-  mem->AddCounter("chunks_recycled")
-      ->Set(static_cast<int64_t>(merged.chunks_recycled));
-
-  // Spill subtree only when spilling is configured, so the default profile
-  // tree (pinned by check_profile_golden.py) is unchanged.
+  root.GetOrCreateChild("memory");
+  obs::RuntimeProfile* spill = nullptr;
   if (spill_manager_ != nullptr) {
-    obs::RuntimeProfile* spill = root.GetOrCreateChild("spill");
+    spill = root.GetOrCreateChild("spill");
     spill->SetInfo("dir", spill_manager_->dir());
     spill->SetInfo("threshold", std::to_string(spill_manager_->threshold()));
-    spill->AddCounter("spilled_bytes", Unit::kBytes)
-        ->Set(static_cast<int64_t>(merged.spilled_bytes));
-    spill->AddCounter("read_bytes", Unit::kBytes)
-        ->Set(static_cast<int64_t>(merged.spill_read_bytes));
-    spill->AddCounter("files")
-        ->Set(static_cast<int64_t>(merged.spill_files));
+  }
+  ExecStatsToProfile(merged, &root);
+  if (spill != nullptr) {
     spill->AddCounter("buckets_restored")
         ->Set(static_cast<int64_t>(spill_manager_->buckets_restored()));
   }

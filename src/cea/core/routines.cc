@@ -10,45 +10,18 @@
 
 namespace cea {
 
-// Layout canary: a field added to ExecStats without extending Merge()
-// (and ExecStatsToJson / FormatExecStats) silently drops telemetry when
-// per-worker stats are merged. Growing the struct trips this assert;
-// update Merge(), the JSON/text serializers, the stats tests, and then the
-// expected size. (LP64 layout: 16 u64 counters, one int padded to 8
-// bytes, double, u64, then three per-level arrays.)
-#if defined(__x86_64__) || defined(__aarch64__)
-static_assert(sizeof(ExecStats) ==
-                  19 * sizeof(uint64_t) +
-                      3 * sizeof(std::array<uint64_t, kMaxRadixLevel + 1>),
-              "ExecStats changed: update Merge(), ExecStatsToJson(), "
-              "FormatExecStats() and this canary");
-#endif
-
 void ExecStats::Merge(const ExecStats& other) {
-  rows_hashed += other.rows_hashed;
-  rows_partitioned += other.rows_partitioned;
-  tables_flushed += other.tables_flushed;
-  switches_to_partition += other.switches_to_partition;
-  switches_to_hash += other.switches_to_hash;
-  final_hash_passes += other.final_hash_passes;
-  distinct_shortcut_runs += other.distinct_shortcut_runs;
-  fallback_buckets += other.fallback_buckets;
-  passes += other.passes;
-  morsels += other.morsels;
-  chunks_allocated += other.chunks_allocated;
-  chunks_recycled += other.chunks_recycled;
-  mem_peak_bytes = std::max(mem_peak_bytes, other.mem_peak_bytes);
-  spilled_bytes += other.spilled_bytes;
-  spill_read_bytes += other.spill_read_bytes;
-  spill_files += other.spill_files;
-  max_level = std::max(max_level, other.max_level);
-  sum_alpha += other.sum_alpha;
-  num_alpha += other.num_alpha;
-  for (size_t l = 0; l < rows_hashed_at_level.size(); ++l) {
-    rows_hashed_at_level[l] += other.rows_hashed_at_level[l];
-    rows_partitioned_at_level[l] += other.rows_partitioned_at_level[l];
-    seconds_at_level[l] += other.seconds_at_level[l];
-  }
+#define CEA_MERGE_kSum(field) field += other.field;
+#define CEA_MERGE_kMax(field) field = std::max(field, other.field);
+#define CEA_MERGE(field, type, merge, ...) CEA_MERGE_##merge(field)
+#define CEA_MERGE_LEVEL(field, ...) \
+  for (size_t l = 0; l < field.size(); ++l) field[l] += other.field[l];
+  CEA_EXEC_STATS_COUNTERS(CEA_MERGE)
+  CEA_EXEC_STATS_LEVEL_COUNTERS(CEA_MERGE_LEVEL)
+#undef CEA_MERGE_kSum
+#undef CEA_MERGE_kMax
+#undef CEA_MERGE
+#undef CEA_MERGE_LEVEL
 }
 
 WorkerResources::WorkerResources(int key_words, const StateLayout& layout,

@@ -50,42 +50,58 @@ struct Morsel {
   std::vector<const uint64_t*> cols;
 };
 
+// The ExecStats counter schema, one row per scalar counter, from which the
+// struct, Merge, ExecStatsToJson and the runtime profile are generated:
+//   X(field = JSON key, type, merge rule, profile section, name, unit)
+// The merge rule (kSum or kMax) also governs the profile counter; section
+// "" (never a profile child) keeps a counter out of the profile. Adding a counter is one row here
+// plus the line that increments it. The chunk/peak and spill rows are
+// set per execution by the operator (ChunkPool/MemoryBudget deltas,
+// SpillManager totals).
+#define CEA_EXEC_STATS_COUNTERS(X)                                         \
+  X(rows_hashed, uint64_t, kSum, "", "", kRows)                            \
+  X(rows_partitioned, uint64_t, kSum, "", "", kRows)                       \
+  X(max_level, int, kMax, "", "", kNone)                                   \
+  X(sum_alpha, double, kSum, "", "", kNone)                                \
+  X(num_alpha, uint64_t, kSum, "strategy", "alpha_samples", kNone)         \
+  X(switches_to_partition, uint64_t, kSum, "strategy",                     \
+    "switches_to_partition", kNone)                                        \
+  X(switches_to_hash, uint64_t, kSum, "strategy", "switches_to_hash", kNone) \
+  X(final_hash_passes, uint64_t, kSum, "strategy", "final_hash_passes",    \
+    kNone)                                                                 \
+  X(distinct_shortcut_runs, uint64_t, kSum, "strategy",                    \
+    "distinct_shortcut_runs", kNone)                                       \
+  X(fallback_buckets, uint64_t, kSum, "strategy", "fallback_buckets", kNone) \
+  X(passes, uint64_t, kSum, "passes", "passes", kNone)                     \
+  X(morsels, uint64_t, kSum, "passes", "morsels", kNone)                   \
+  X(tables_flushed, uint64_t, kSum, "passes", "tables_flushed", kNone)     \
+  X(mem_peak_bytes, uint64_t, kMax, "memory", "peak_bytes", kBytes)        \
+  X(chunks_allocated, uint64_t, kSum, "memory", "chunks_fresh", kNone)     \
+  X(chunks_recycled, uint64_t, kSum, "memory", "chunks_recycled", kNone)   \
+  X(spilled_bytes, uint64_t, kSum, "spill", "spilled_bytes", kBytes)       \
+  X(spill_read_bytes, uint64_t, kSum, "spill", "read_bytes", kBytes)       \
+  X(spill_files, uint64_t, kSum, "spill", "files", kNone)
+
+// The per-radix-level arrays (summed on merge), rendered as the JSON
+// "levels" entries and the profile's passes/level_N nodes:
+//   X(field, type, JSON key, profile name, profile unit, profile scale)
+#define CEA_EXEC_STATS_LEVEL_COUNTERS(X)                                   \
+  X(rows_hashed_at_level, uint64_t, "rows_hashed", "rows_hashed", kRows, 1) \
+  X(rows_partitioned_at_level, uint64_t, "rows_partitioned",               \
+    "rows_partitioned", kRows, 1)                                          \
+  X(seconds_at_level, double, "seconds", "cpu_time", kNanos, 1e9)
+
 // Execution telemetry, kept per worker and merged by the operator. The
 // per-level breakdowns drive the Figure 4/5 pass-breakdown benches; the
 // alpha statistics drive Figure 10.
 struct ExecStats {
-  uint64_t rows_hashed = 0;
-  uint64_t rows_partitioned = 0;
-  uint64_t tables_flushed = 0;
-  uint64_t switches_to_partition = 0;
-  uint64_t switches_to_hash = 0;
-  uint64_t final_hash_passes = 0;
-  uint64_t distinct_shortcut_runs = 0;
-  uint64_t fallback_buckets = 0;
-  uint64_t passes = 0;
-  // Morsels consumed by PassContext::ProcessMorsel — with per-worker stats
-  // this is the work-distribution signal the profile's worker nodes report.
-  uint64_t morsels = 0;
-  // Run-store memory telemetry (process-wide ChunkPool/MemoryBudget deltas
-  // captured by the operator per execution): chunks served from fresh OS
-  // memory vs. recycled from the pool, and the peak accounted bytes.
-  uint64_t chunks_allocated = 0;
-  uint64_t chunks_recycled = 0;
-  uint64_t mem_peak_bytes = 0;
-  // Spill telemetry (logical run bytes written to / read back from spill
-  // files and spill files created; zero when spilling is disabled or the
-  // budget never tripped the threshold).
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_read_bytes = 0;
-  uint64_t spill_files = 0;
-  int max_level = 0;
-
-  double sum_alpha = 0;
-  uint64_t num_alpha = 0;
-
-  std::array<uint64_t, kMaxRadixLevel + 1> rows_hashed_at_level{};
-  std::array<uint64_t, kMaxRadixLevel + 1> rows_partitioned_at_level{};
-  std::array<double, kMaxRadixLevel + 1> seconds_at_level{};
+#define CEA_EXEC_STATS_FIELD(field, type, ...) type field = 0;
+#define CEA_EXEC_STATS_LEVEL_FIELD(field, type, ...) \
+  std::array<type, kMaxRadixLevel + 1> field{};
+  CEA_EXEC_STATS_COUNTERS(CEA_EXEC_STATS_FIELD)
+  CEA_EXEC_STATS_LEVEL_COUNTERS(CEA_EXEC_STATS_LEVEL_FIELD)
+#undef CEA_EXEC_STATS_FIELD
+#undef CEA_EXEC_STATS_LEVEL_FIELD
 
   void Merge(const ExecStats& other);
   double mean_alpha() const {

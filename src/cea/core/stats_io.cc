@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "cea/obs/json_writer.h"
+#include "cea/obs/runtime_profile.h"
 
 namespace cea {
 namespace {
@@ -22,89 +23,59 @@ void Appendf(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
 }
 
-}  // namespace
+void JsonValue(obs::JsonWriter& w, uint64_t v) { w.Uint(v); }
+void JsonValue(obs::JsonWriter& w, int v) { w.Int(v); }
+void JsonValue(obs::JsonWriter& w, double v) { w.Double(v); }
 
-std::string FormatExecStats(const ExecStats& stats) {
-  std::string out;
-  uint64_t total = stats.rows_hashed + stats.rows_partitioned;
-  double hash_pct =
-      total == 0 ? 0.0
-                 : 100.0 * static_cast<double>(stats.rows_hashed) /
-                       static_cast<double>(total);
-  Appendf(&out,
-          "rows: %" PRIu64 " hashed (%.1f%%), %" PRIu64 " partitioned\n",
-          stats.rows_hashed, hash_pct, stats.rows_partitioned);
-  Appendf(&out,
-          "passes: %" PRIu64 ", morsels: %" PRIu64 ", tables flushed: %" PRIu64
-          ", final hash passes: %" PRIu64 ", shortcut runs: %" PRIu64 "\n",
-          stats.passes, stats.morsels, stats.tables_flushed,
-          stats.final_hash_passes, stats.distinct_shortcut_runs);
-  Appendf(&out,
-          "switches: %" PRIu64 " to partitioning, %" PRIu64
-          " back to hashing; mean alpha: %.2f (%" PRIu64 " samples)\n",
-          stats.switches_to_partition, stats.switches_to_hash,
-          stats.mean_alpha(), stats.num_alpha);
-  Appendf(&out,
-          "run-store memory: %" PRIu64 " chunks allocated, %" PRIu64
-          " recycled, peak %.1f MiB\n",
-          stats.chunks_allocated, stats.chunks_recycled,
-          static_cast<double>(stats.mem_peak_bytes) / (1024.0 * 1024.0));
-  if (stats.spill_files != 0) {
-    Appendf(&out,
-            "spill: %.1f MiB written, %.1f MiB read back, %" PRIu64
-            " files\n",
-            static_cast<double>(stats.spilled_bytes) / (1024.0 * 1024.0),
-            static_cast<double>(stats.spill_read_bytes) / (1024.0 * 1024.0),
-            stats.spill_files);
-  }
-  Appendf(&out, "levels (rows hashed / partitioned / cpu-seconds):\n");
-  for (int l = 0; l <= stats.max_level &&
-                  l < static_cast<int>(stats.rows_hashed_at_level.size());
-       ++l) {
-    Appendf(&out, "  level %d: %" PRIu64 " / %" PRIu64 " / %.4f\n", l,
-            stats.rows_hashed_at_level[l], stats.rows_partitioned_at_level[l],
-            stats.seconds_at_level[l]);
-  }
-  return out;
+// Levels 0..max_level, the ones the JSON and the profile report.
+int NumLevels(const ExecStats& stats) {
+  return std::min(stats.max_level + 1, kMaxRadixLevel + 1);
 }
+
+}  // namespace
 
 std::string ExecStatsToJson(const ExecStats& stats) {
   obs::JsonWriter w;
   w.BeginObject();
-  w.Key("rows_hashed").Uint(stats.rows_hashed);
-  w.Key("rows_partitioned").Uint(stats.rows_partitioned);
-  w.Key("tables_flushed").Uint(stats.tables_flushed);
-  w.Key("switches_to_partition").Uint(stats.switches_to_partition);
-  w.Key("switches_to_hash").Uint(stats.switches_to_hash);
-  w.Key("final_hash_passes").Uint(stats.final_hash_passes);
-  w.Key("distinct_shortcut_runs").Uint(stats.distinct_shortcut_runs);
-  w.Key("fallback_buckets").Uint(stats.fallback_buckets);
-  w.Key("passes").Uint(stats.passes);
-  w.Key("morsels").Uint(stats.morsels);
-  w.Key("chunks_allocated").Uint(stats.chunks_allocated);
-  w.Key("chunks_recycled").Uint(stats.chunks_recycled);
-  w.Key("mem_peak_bytes").Uint(stats.mem_peak_bytes);
-  w.Key("spilled_bytes").Uint(stats.spilled_bytes);
-  w.Key("spill_read_bytes").Uint(stats.spill_read_bytes);
-  w.Key("spill_files").Uint(stats.spill_files);
-  w.Key("max_level").Int(stats.max_level);
-  w.Key("sum_alpha").Double(stats.sum_alpha);
-  w.Key("num_alpha").Uint(stats.num_alpha);
+#define CEA_JSON_FIELD(field, ...) JsonValue(w.Key(#field), stats.field);
+#define CEA_JSON_LEVEL(field, type, key, ...) \
+  JsonValue(w.Key(key), stats.field[l]);
+  CEA_EXEC_STATS_COUNTERS(CEA_JSON_FIELD)
   w.Key("mean_alpha").Double(stats.mean_alpha());
   w.Key("levels").BeginArray();
-  for (int l = 0; l <= stats.max_level &&
-                  l < static_cast<int>(stats.rows_hashed_at_level.size());
-       ++l) {
-    w.BeginObject();
-    w.Key("level").Int(l);
-    w.Key("rows_hashed").Uint(stats.rows_hashed_at_level[l]);
-    w.Key("rows_partitioned").Uint(stats.rows_partitioned_at_level[l]);
-    w.Key("seconds").Double(stats.seconds_at_level[l]);
+  for (int l = 0; l < NumLevels(stats); ++l) {
+    w.BeginObject().Key("level").Int(l);
+    CEA_EXEC_STATS_LEVEL_COUNTERS(CEA_JSON_LEVEL)
     w.EndObject();
   }
+#undef CEA_JSON_FIELD
+#undef CEA_JSON_LEVEL
   w.EndArray();
   w.EndObject();
   return w.str();
+}
+
+void ExecStatsToProfile(const ExecStats& stats, obs::RuntimeProfile* root) {
+  using Unit = obs::RuntimeProfile::Unit;
+  using MergeOp = obs::RuntimeProfile::MergeOp;
+#define CEA_PROFILE_FIELD(field, type, merge, sect, name, unit) \
+  if (obs::RuntimeProfile* node = root->FindChild(sect)) {      \
+    node->AddCounter(name, Unit::unit, MergeOp::merge)          \
+        ->Set(static_cast<int64_t>(stats.field));               \
+  }
+#define CEA_PROFILE_LEVEL(field, type, key, name, unit, scale) \
+  level->AddCounter(name, Unit::unit)                          \
+      ->Set(static_cast<int64_t>(stats.field[l] * scale));
+  CEA_EXEC_STATS_COUNTERS(CEA_PROFILE_FIELD)
+  if (obs::RuntimeProfile* passes = root->FindChild("passes")) {
+    for (int l = 0; l < NumLevels(stats); ++l) {
+      obs::RuntimeProfile* level =
+          passes->GetOrCreateChild("level_" + std::to_string(l));
+      CEA_EXEC_STATS_LEVEL_COUNTERS(CEA_PROFILE_LEVEL)
+    }
+  }
+#undef CEA_PROFILE_FIELD
+#undef CEA_PROFILE_LEVEL
 }
 
 std::string MachineInfoToJson(const MachineInfo& info) {

@@ -1,6 +1,6 @@
-// Human- and machine-readable formatting of execution telemetry and
-// results: text summaries for logs, JSON objects for the bench/trajectory
-// tooling, CSV for result export.
+// Machine-readable formatting of execution telemetry and results: JSON
+// objects for the bench/trajectory tooling, the runtime-profile rendering
+// of ExecStats, CSV for result export.
 
 #ifndef CEA_CORE_STATS_IO_H_
 #define CEA_CORE_STATS_IO_H_
@@ -12,17 +12,20 @@
 #include "cea/common/machine.h"
 #include "cea/core/routines.h"
 #include "cea/obs/perf_counters.h"
+#include "cea/obs/runtime_profile.h"
 
 namespace cea {
-
-// Multi-line summary of an ExecStats: routine mix, switches, passes,
-// per-level row/time breakdown. For logs and example output.
-std::string FormatExecStats(const ExecStats& stats);
 
 // Compact JSON object with every ExecStats field (scalars plus a "levels"
 // array trimmed to max_level). Keys are stable: trajectory tooling diffs
 // these records across commits.
 std::string ExecStatsToJson(const ExecStats& stats);
+
+// Adds the profiled ExecStats counters (the CEA_EXEC_STATS_COUNTERS
+// sections, plus one passes/level_N node per level) to the children of
+// `root` that already exist: the caller creates the sections, so it
+// decides their order and which ones appear.
+void ExecStatsToProfile(const ExecStats& stats, obs::RuntimeProfile* root);
 
 // JSON object of the machine parameters that shaped the run (cache sizes,
 // hardware threads). Part of every bench record so results from different

@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "cea/core/spill_manager.h"
-#include "cea/core/stats_io.h"
 #include "cea/datagen/generators.h"
 #include "cea/mem/chunk_pool.h"
 #include "cea/mem/spill_file.h"
+#include "cea/obs/obs.h"
 #include "test_util.h"
 
 namespace cea {
@@ -210,12 +210,16 @@ TEST(SpillOperator, WorkingSetSeveralTimesBudgetCompletes) {
   guard.SetHeadroom(16 << 20);  // working set >= 4x the headroom
 
   AggregationOptions o = SpillOptions(/*threads=*/2, /*threshold=*/0.2);
+  obs::ObsContext obs(obs::ObsContext::Options{false, false, true});
+  o.obs = &obs;
   ExecStats stats;
   ExpectMatchesReference({{AggFn::kCount, -1}}, input, o, &stats);
   EXPECT_GT(stats.spilled_bytes, 0u);
   EXPECT_GT(stats.spill_read_bytes, 0u);
   EXPECT_GT(stats.spill_files, 0u);
-  EXPECT_EQ(FormatExecStats(stats).find("spill:") != std::string::npos, true);
+  obs::RuntimeProfile* spill = obs.profile().FindChild("spill");
+  ASSERT_NE(spill, nullptr);
+  EXPECT_GT(spill->FindCounter("spilled_bytes")->value(), 0);
 }
 
 // Same shape without a spill directory: the budget trips, the execution

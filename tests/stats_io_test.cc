@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,31 +13,6 @@
 
 namespace cea {
 namespace {
-
-TEST(FormatExecStats, ContainsKeyFigures) {
-  ExecStats s;
-  s.rows_hashed = 100;
-  s.rows_partitioned = 50;
-  s.tables_flushed = 3;
-  s.passes = 2;
-  s.switches_to_partition = 1;
-  s.sum_alpha = 8.0;
-  s.num_alpha = 2;
-  s.max_level = 1;
-  s.rows_hashed_at_level[0] = 100;
-  s.rows_partitioned_at_level[0] = 50;
-  s.chunks_allocated = 7;
-  s.chunks_recycled = 9;
-  s.mem_peak_bytes = 3 << 20;
-  std::string out = FormatExecStats(s);
-  EXPECT_NE(out.find("100 hashed"), std::string::npos);
-  EXPECT_NE(out.find("50 partitioned"), std::string::npos);
-  EXPECT_NE(out.find("mean alpha: 4.00"), std::string::npos);
-  EXPECT_NE(out.find("7 chunks allocated"), std::string::npos);
-  EXPECT_NE(out.find("9 recycled"), std::string::npos);
-  EXPECT_NE(out.find("peak 3.0 MiB"), std::string::npos);
-  EXPECT_NE(out.find("level 1"), std::string::npos);
-}
 
 TEST(ResultToCsv, SingleKeyAndAggregates) {
   Column keys = {1, 2, 2};
@@ -181,6 +157,47 @@ TEST(ExecStatsToJson, ValidJsonWithAllFields) {
   EXPECT_NE(json.find("\"level\":0"), std::string::npos);
   EXPECT_NE(json.find("\"level\":1"), std::string::npos);
   EXPECT_EQ(json.find("\"level\":2"), std::string::npos);
+}
+
+// Keys of the objects at nesting depth `depth` (1 = top level) of a JSON
+// document whose strings hold no escaped quotes.
+std::multiset<std::string> KeysAtDepth(const std::string& json, int depth) {
+  std::multiset<std::string> keys;
+  int d = 0;
+  for (size_t i = 0; i < json.size(); ++i) {
+    if (json[i] == '{' || json[i] == '[') ++d;
+    if (json[i] == '}' || json[i] == ']') --d;
+    if (json[i] != '"') continue;
+    size_t end = json.find('"', i + 1);
+    if (d == depth && json[end + 1] == ':') {
+      keys.insert(json.substr(i + 1, end - i - 1));
+    }
+    i = end;
+  }
+  return keys;
+}
+
+// Pins the field names that the bench/baselines/ records, the CI
+// bench-smoke validation and the fig benches read.
+TEST(ExecStatsToJson, KeySetIsStable) {
+  ExecStats s;
+  s.max_level = 1;
+  const std::string json = ExecStatsToJson(s);
+  EXPECT_EQ(KeysAtDepth(json, 1),
+            (std::multiset<std::string>{
+                "rows_hashed", "rows_partitioned", "tables_flushed",
+                "switches_to_partition", "switches_to_hash",
+                "final_hash_passes", "distinct_shortcut_runs",
+                "fallback_buckets", "passes", "morsels", "chunks_allocated",
+                "chunks_recycled", "mem_peak_bytes", "spilled_bytes",
+                "spill_read_bytes", "spill_files", "max_level", "sum_alpha",
+                "num_alpha", "mean_alpha", "levels"}));
+  // Two levels entries (0 and 1), each with the same four keys.
+  EXPECT_EQ(KeysAtDepth(json, 3),
+            (std::multiset<std::string>{
+                "level", "level", "rows_hashed", "rows_hashed",
+                "rows_partitioned", "rows_partitioned", "seconds",
+                "seconds"}));
 }
 
 TEST(MachineInfoToJson, ValidJson) {

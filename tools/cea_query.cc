@@ -36,7 +36,8 @@
 //                                 starts (default 0.8; 0 < F <= 1.0).
 //                                 Requires --spill_dir.
 //   --csv [--csv_rows=N]          print result as CSV
-//   --stats                       print execution telemetry (text, stderr)
+//   --stats                       print the runtime profile (see --profile)
+//                                 as an indented tree on stderr
 //   --stats=json                  print telemetry as one JSON object on
 //                                 stdout (machine info, timing, ExecStats,
 //                                 hardware counters when available)
@@ -57,11 +58,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <memory>
@@ -116,6 +119,15 @@ bool ParseAggs(const std::string& spec_list,
   return true;
 }
 
+// Every flag of the header comment. Any other argument is a usage error:
+// a mistyped or removed flag must not run the query with defaults.
+constexpr std::string_view kKnownFlags[] = {
+    "n", "k", "dist", "seed", "keys_file", "aggs", "threads", "table_bytes",
+    "policy", "passes", "alpha0", "c", "k_hint", "deadline_ms",
+    "mem_budget_mb", "no_huge_pages", "spill_dir", "spill_threshold", "csv",
+    "csv_rows", "stats", "trace", "profile", "metrics", "metrics_jsonl",
+    "metrics_period_ms", "help"};
+
 // Flag sanity: `name`, when present, must be a positive integer. GetUint
 // parses with strtoull, which silently wraps "-5" into a huge positive
 // value — validate on the raw string instead so nonsense fails loudly.
@@ -136,6 +148,15 @@ bool RequirePositive(const cea::Flags& flags, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, 2) != "--" ||
+        std::find(std::begin(kKnownFlags), std::end(kKnownFlags),
+                  arg.substr(2, arg.find('=') - 2)) == std::end(kKnownFlags)) {
+      std::fprintf(stderr, "usage error: unknown flag %s\n", argv[i]);
+      return 2;
+    }
+  }
   cea::Flags flags(argc, argv);
   if (flags.Has("help")) {
     std::printf("see the header comment of tools/cea_query.cc for flags\n");
@@ -283,16 +304,17 @@ int main(int argc, char** argv) {
   input.num_rows = keys.size();
 
   // Observability: --trace needs spans, --stats=json benefits from
-  // counters, --profile needs the runtime profile; any of them attaches
-  // the context.
+  // counters, --stats and --profile render the runtime profile; any of
+  // them attaches the context.
   const bool stats_json = flags.GetString("stats", "") == "json";
   const std::string trace_path = flags.GetString("trace", "");
+  const bool want_stats = flags.Has("stats");
   const bool want_profile = flags.Has("profile");
   cea::obs::ObsContext obs(cea::obs::ObsContext::Options{
       /*counters=*/stats_json || !trace_path.empty(),
       /*trace=*/!trace_path.empty(),
-      /*profile=*/want_profile || stats_json});
-  if (stats_json || !trace_path.empty() || want_profile) options.obs = &obs;
+      /*profile=*/want_profile || want_stats});
+  if (want_stats || !trace_path.empty() || want_profile) options.obs = &obs;
 
   // Metrics exposition: register the process-wide gauges up front so the
   // JSONL sink's very first snapshot already carries them.
@@ -363,8 +385,8 @@ int main(int argc, char** argv) {
     obs.profile().ToJson(&w);
     w.EndObject();
     std::printf("%s\n", w.str().c_str());
-  } else if (flags.Has("stats")) {
-    std::fprintf(stderr, "%s", cea::FormatExecStats(stats).c_str());
+  } else if (want_stats) {
+    std::fprintf(stderr, "%s", obs.profile().ToText().c_str());
   }
   // With --stats=json the profile is already nested in the JSON document;
   // printing the text tree too would corrupt stdout for JSON consumers.

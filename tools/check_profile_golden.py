@@ -9,7 +9,9 @@ fully determined by the flags (threads, rows_in, worker count) are
 checked verbatim.
 
 A second run with --stats=json asserts the same tree nests under the
-"profile" key of the JSON stats document.
+"profile" key of the JSON stats document. A third run with --stats asserts
+that its stderr, after the one-line timing summary, is the same tree: the
+text telemetry is a rendering of the profile.
 
 Usage: check_profile_golden.py PATH_TO_CEA_QUERY
 """
@@ -83,12 +85,12 @@ def normalize(text):
 
 def run(binary, extra):
     proc = subprocess.run([binary] + FLAGS + extra,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True)
     if proc.returncode != 0:
         print(f"cea_query exited {proc.returncode}", file=sys.stderr)
         sys.exit(1)
-    return proc.stdout
+    return proc
 
 
 def diff(actual, golden):
@@ -102,6 +104,28 @@ def diff(actual, golden):
     return msgs
 
 
+def check_tree(tree, what):
+    # Shape comparison with all values collapsed; flag-determined fields
+    # are then re-checked verbatim against the raw tree below.
+    normalized = normalize(tree)
+    golden_normalized = normalize(GOLDEN)
+    if normalized != golden_normalized:
+        print(f"{what} profile tree shape mismatch (values normalized):",
+              file=sys.stderr)
+        for m in diff(normalized, golden_normalized):
+            print(m, file=sys.stderr)
+        return False
+    # Now the literal fields, straight from the raw tree.
+    for literal in ("  threads: 1\n", "  - rows_in: 65536\n",
+                    "    count: 1\n", "      - rows_hashed: 65536\n",
+                    "      - rows_partitioned: 0\n"):
+        if literal not in tree:
+            print(f"missing literal line {literal!r} in {what} profile",
+                  file=sys.stderr)
+            return False
+    return True
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -109,37 +133,16 @@ def main(argv):
     binary = argv[1]
 
     # --- Text tree -------------------------------------------------------
-    raw = run(binary, ["--profile"])
-    # Keep only the tree (cea_query's summary goes to stderr already, but
-    # be robust to any preamble before the root node).
-    start = raw.find("query:\n")
-    if start < 0:
-        print("no 'query:' root in --profile output", file=sys.stderr)
-        print(raw, file=sys.stderr)
+    if not check_tree(run(binary, ["--profile"]).stdout, "--profile"):
         return 1
-    tree = raw[start:]
 
-    # Shape comparison with all values collapsed; flag-determined fields
-    # are then re-checked verbatim against the raw tree below.
-    normalized = normalize(tree)
-    golden_normalized = normalize(GOLDEN)
-    if normalized != golden_normalized:
-        print("profile tree shape mismatch (values normalized):",
-              file=sys.stderr)
-        for m in diff(normalized, golden_normalized):
-            print(m, file=sys.stderr)
+    # --- --stats text: the timing summary line, then the same tree --------
+    _, _, tree = run(binary, ["--stats"]).stderr.partition("\n")
+    if not check_tree(tree, "--stats"):
         return 1
-    # Now the literal fields, straight from the raw tree.
-    for literal in ("  threads: 1\n", "  - rows_in: 65536\n",
-                    "    count: 1\n", "      - rows_hashed: 65536\n",
-                    "      - rows_partitioned: 0\n"):
-        if literal not in tree:
-            print(f"missing literal line {literal!r} in profile",
-                  file=sys.stderr)
-            return 1
 
     # --- JSON nesting ----------------------------------------------------
-    doc = json.loads(run(binary, ["--stats=json"]))
+    doc = json.loads(run(binary, ["--stats=json"]).stdout)
     profile = doc.get("profile")
     if not isinstance(profile, dict) or profile.get("name") != "query":
         print("stats JSON is missing the nested profile", file=sys.stderr)
