@@ -71,6 +71,9 @@ struct AggregationOperator::Pass {
   uint64_t id = 0;  // ordinal among scheduled passes; tags trace spans
   std::vector<Morsel> morsels;
   size_t total_rows = 0;
+  // Runs as one task whatever its size: its siblings already fill the
+  // pool (DispatchChildren).
+  bool solo = false;
   Bucket source;  // keeps run memory alive for the duration of the pass
 
   std::atomic<size_t> cursor{0};
@@ -374,6 +377,7 @@ Status AggregationOperator::BeginStream(int key_columns) {
   EnsureResources(key_columns);
   ResetExecutionState();
   num_passes_.fetch_add(1, std::memory_order_relaxed);  // the level-0 pass
+  worker_stats_[0].passes_at_level[0] += 1;
   stream_ctx_ = std::make_unique<PassContext>(
       layout_, *policy_, resources_[0].get(), /*level=*/0, &worker_stats_[0],
       &control_, spill_manager_.get(), /*pass_id=*/0);
@@ -469,13 +473,13 @@ Status AggregationOperator::FinishStream(ResultTable* result,
         // Second code fragment: recurse into the buckets the stream
         // produced. The stream context ran as pass 0, so its spilled
         // partitions live under PartitionKey(0, p).
+        std::vector<Bucket> children(kFanOut);
         for (uint32_t p = 0; p < kFanOut; ++p) {
           Run& r = stream_ctx_->runs()[p];
-          Bucket child;
-          if (!r.empty()) child.push_back(std::move(r));
-          DispatchBucket(/*parent_pass_id=*/0, p, std::move(child),
-                         /*level=*/1);
+          if (!r.empty()) children[p].push_back(std::move(r));
         }
+        DispatchChildren(/*parent_pass_id=*/0, std::move(children),
+                         /*level=*/1);
       }
     } catch (const StatusError& e) {
       return MergeAbortStatus(AbortStream(), e.status());
@@ -548,13 +552,14 @@ void AggregationOperator::SchedulePass(std::shared_ptr<Pass> pass) {
   pass->id = num_passes_.fetch_add(1, std::memory_order_relaxed);
   int tasks = static_cast<int>(
       std::min<size_t>(pass->morsels.size(), scheduler_->num_threads()));
-  // Splitting a small bucket across workers costs more than it gains: a
-  // single worker can finish it with one never-flushed table (the merged
-  // final pass), while several workers each produce partial runs that
-  // force another recursion level. Reserve intra-bucket parallelism for
-  // buckets that are actually large; inter-bucket task parallelism covers
-  // the rest (Section 3.2).
-  if (pass->total_rows < options_.morsel_rows) tasks = 1;
+  // Splitting a bucket across workers costs more than it gains when it is
+  // small or when its siblings already keep every worker busy: a single
+  // worker can finish it with one never-flushed table (the merged final
+  // pass), while several workers each produce partial runs that force
+  // another recursion level. Intra-bucket parallelism is reserved for
+  // buckets that are large and lack enough sibling tasks; inter-bucket
+  // task parallelism covers the rest (Section 3.2).
+  if (pass->solo || pass->total_rows < options_.morsel_rows) tasks = 1;
   CEA_CHECK(tasks >= 1);
   pass->active_workers.store(tasks, std::memory_order_relaxed);
   for (int t = 0; t < tasks; ++t) {
@@ -608,6 +613,7 @@ void AggregationOperator::RunPassWorker(const std::shared_ptr<Pass>& pass,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   if (pass->active_workers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    worker_stats_[worker_id].passes_at_level[pass->level] += 1;
     CompletePass(pass);
   }
 }
@@ -616,22 +622,44 @@ void AggregationOperator::CompletePass(const std::shared_ptr<Pass>& pass) {
   // Gather the per-worker runs of each partition into child buckets and
   // recurse. Runs management is the only synchronized step (Section 3.2)
   // and happens once per pass.
+  std::vector<Bucket> children(kFanOut);
   for (uint32_t p = 0; p < kFanOut; ++p) {
-    Bucket child;
     for (const std::unique_ptr<PassContext>& ctx : pass->contexts) {
       Run& r = ctx->runs()[p];
-      if (!r.empty()) child.push_back(std::move(r));
+      if (!r.empty()) children[p].push_back(std::move(r));
     }
-    // Even an empty child must be dispatched: mid-pass spilling may have
-    // moved all of partition p's rows to its spill stream already.
-    DispatchBucket(pass->id, p, std::move(child), pass->level + 1);
   }
+  DispatchChildren(pass->id, std::move(children), pass->level + 1);
   pass->contexts.clear();
   pass->source.clear();  // release the parent level's run memory
 }
 
+void AggregationOperator::DispatchChildren(uint64_t parent_pass_id,
+                                           std::vector<Bucket> children,
+                                           int level) {
+  size_t non_empty = 0;
+  size_t rows = 0;
+  for (const Bucket& child : children) {
+    const size_t n = BucketRows(child);
+    non_empty += n != 0 ? 1 : 0;
+    rows += n;
+  }
+  // With at least one sibling per worker, a child with no more than a
+  // worker's share of the rows keeps one task: the pool is busy anyway.
+  // A lone hot bucket, or one holding a skewed share, is still split.
+  const size_t threads = static_cast<size_t>(num_threads());
+  const bool siblings_fill_pool = non_empty >= threads;
+  for (uint32_t p = 0; p < kFanOut; ++p) {
+    const bool solo =
+        siblings_fill_pool && BucketRows(children[p]) * threads <= rows;
+    // Even an empty child must be dispatched: mid-pass spilling may have
+    // moved all of partition p's rows to its spill stream already.
+    DispatchBucket(parent_pass_id, p, std::move(children[p]), level, solo);
+  }
+}
+
 void AggregationOperator::DispatchBucket(uint64_t parent_pass_id, uint32_t p,
-                                         Bucket child, int level) {
+                                         Bucket child, int level, bool solo) {
   if (spill_manager_ != nullptr) {
     const uint64_t key = SpillManager::PartitionKey(parent_pass_id, p);
     const bool spilled = spill_manager_->HasSpilled(key);
@@ -648,7 +676,7 @@ void AggregationOperator::DispatchBucket(uint64_t parent_pass_id, uint32_t p,
       return;
     }
   }
-  if (!child.empty()) ScheduleBucket(std::move(child), level);
+  if (!child.empty()) ScheduleBucket(std::move(child), level, solo);
 }
 
 Status AggregationOperator::DrainSpilledBuckets() {
@@ -664,7 +692,7 @@ Status AggregationOperator::DrainSpilledBuckets() {
       spill_manager_->Restore(desc, &run);
       Bucket bucket;
       bucket.push_back(std::move(run));
-      ScheduleBucket(std::move(bucket), desc.level);
+      ScheduleBucket(std::move(bucket), desc.level, /*solo=*/false);
     } catch (const StatusError& e) {
       return MergeAbortStatus(scheduler_->WaitGroup(group_.get()),
                               e.status());
@@ -684,7 +712,8 @@ Status AggregationOperator::DrainSpilledBuckets() {
   return Status::Ok();
 }
 
-void AggregationOperator::ScheduleBucket(Bucket bucket, int level) {
+void AggregationOperator::ScheduleBucket(Bucket bucket, int level,
+                                         bool solo) {
   // Bucket-schedule cancellation boundary: a fired token stops the
   // recursion from fanning out further work. Callers are worker tasks
   // (CompletePass) or FinishStream's guarded fragment, so the StatusError
@@ -716,6 +745,7 @@ void AggregationOperator::ScheduleBucket(Bucket bucket, int level) {
   auto pass = std::make_shared<Pass>();
   pass->level = level;
   pass->total_rows = BucketRows(bucket);
+  pass->solo = solo;
   pass->source = std::move(bucket);
   pass->morsels = MorselsForBucket(pass->source, key_words_, layout_);
   SchedulePass(std::move(pass));

@@ -188,13 +188,20 @@ class AggregationOperator {
   // between Execute calls.
   void EnsureResources(int key_words);
   void ScheduleRootPass(const InputTable& input);
-  void ScheduleBucket(Bucket bucket, int level);
+  // `solo` runs the bucket's pass as one task whatever its size.
+  void ScheduleBucket(Bucket bucket, int level, bool solo);
+  // Routes the kFanOut child buckets of a completed pass (CompletePass, or
+  // the stream's level-0 pass) through DispatchBucket. A child runs solo
+  // when at least num_threads() children are non-empty and it holds no
+  // more than 1/num_threads() of their rows.
+  void DispatchChildren(uint64_t parent_pass_id, std::vector<Bucket> children,
+                        int level);
   // Routes a completed pass's child bucket: schedules it in memory, or —
   // when its partition already spilled, or the budget is under pressure —
   // moves the in-memory runs to the partition's spill stream and queues
   // the bucket for the sequential restore phase.
   void DispatchBucket(uint64_t parent_pass_id, uint32_t p, Bucket child,
-                      int level);
+                      int level, bool solo);
   // Restores queued spilled buckets one at a time (so only one bucket's
   // working set is resident) and runs each to completion.
   Status DrainSpilledBuckets();

@@ -86,6 +86,7 @@ struct Morsel {
 // "levels" entries and the profile's passes/level_N nodes:
 //   X(field, type, JSON key, profile name, profile unit, profile scale)
 #define CEA_EXEC_STATS_LEVEL_COUNTERS(X)                                   \
+  X(passes_at_level, uint64_t, "passes", "passes", kNone, 1)               \
   X(rows_hashed_at_level, uint64_t, "rows_hashed", "rows_hashed", kRows, 1) \
   X(rows_partitioned_at_level, uint64_t, "rows_partitioned",               \
     "rows_partitioned", kRows, 1)                                          \

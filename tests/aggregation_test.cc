@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -312,6 +313,53 @@ TEST(Aggregation, LargeCacheSinglePass) {
   EXPECT_EQ(stats.tables_flushed, 0u);
   EXPECT_EQ(stats.rows_partitioned, 0u);
   EXPECT_EQ(stats.max_level, 0);
+}
+
+TEST(Aggregation, PassShapeDoesNotDependOnThreads) {
+  // Level-1 buckets average morsel_rows rows and each fits one table. With
+  // 256 siblings to keep every worker busy, each bucket runs on one worker
+  // and ends in the merged final pass: one level-0 pass plus 256 level-1
+  // passes at every thread count, through Execute and the stream alike.
+  GenParams gp;
+  gp.n = 1 << 18;
+  gp.k = 1 << 14;
+  Column keys = GenerateKeys(gp);
+  InputTable input;
+  input.keys = keys.data();
+  input.num_rows = keys.size();
+  const std::vector<AggregateSpec> specs = {{AggFn::kCount, -1}};
+  const ResultTable expect = ReferenceAggregate(input, specs);
+  constexpr size_t kBatchRows = 50000;
+  for (int threads : {1, 2, 4}) {
+    for (bool streamed : {false, true}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads" +
+                   (streamed ? ", streamed" : ""));
+      AggregationOptions options = TinyCacheOptions(threads, 1 << 18);
+      options.morsel_rows = 1 << 10;
+      AggregationOperator op(specs, options);
+      ResultTable got;
+      ExecStats stats;
+      if (streamed) {
+        ASSERT_TRUE(op.BeginStream().ok());
+        for (size_t off = 0; off < input.num_rows; off += kBatchRows) {
+          InputTable batch;
+          batch.keys = keys.data() + off;
+          batch.num_rows = std::min(kBatchRows, input.num_rows - off);
+          ASSERT_TRUE(op.ConsumeBatch(batch).ok());
+        }
+        ASSERT_TRUE(op.FinishStream(&got, &stats).ok());
+      } else {
+        ASSERT_TRUE(op.Execute(input, &got, &stats).ok());
+      }
+      ExpectResultsMatch(&got, expect);
+      EXPECT_EQ(stats.passes, 257u);
+      EXPECT_EQ(stats.max_level, 1);
+      EXPECT_EQ(stats.final_hash_passes, 256u);
+      uint64_t per_level = 0;
+      for (uint64_t p : stats.passes_at_level) per_level += p;
+      EXPECT_EQ(per_level, stats.passes);
+    }
+  }
 }
 
 TEST(Aggregation, KHintDoesNotChangeResults) {

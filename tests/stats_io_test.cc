@@ -192,12 +192,12 @@ TEST(ExecStatsToJson, KeySetIsStable) {
                 "chunks_recycled", "mem_peak_bytes", "spilled_bytes",
                 "spill_read_bytes", "spill_files", "max_level", "sum_alpha",
                 "num_alpha", "mean_alpha", "levels"}));
-  // Two levels entries (0 and 1), each with the same four keys.
+  // Two levels entries (0 and 1), each with the same five keys.
   EXPECT_EQ(KeysAtDepth(json, 3),
             (std::multiset<std::string>{
-                "level", "level", "rows_hashed", "rows_hashed",
-                "rows_partitioned", "rows_partitioned", "seconds",
-                "seconds"}));
+                "level", "level", "passes", "passes", "rows_hashed",
+                "rows_hashed", "rows_partitioned", "rows_partitioned",
+                "seconds", "seconds"}));
 }
 
 TEST(MachineInfoToJson, ValidJson) {

@@ -46,6 +46,7 @@ query:
     - morsels: N
     - tables_flushed: N
     level_0:
+      - passes: N
       - rows_hashed: 65536
       - rows_partitioned: 0
       - cpu_time: N
